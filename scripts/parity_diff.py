@@ -5,8 +5,12 @@ Groups rows by scenario point (algorithm, family, n, bandwidth, and the
 conditioner axes) and enforces the engines' equivalence contracts:
 
   - lock-step engines (serial, parallel at every thread count) must be
-    bit-identical per point: rounds, messages, words, mst_weight, the
-    oracle verdict, and the in-model verification block;
+    bit-identical per point: rounds, messages, words, activations,
+    mst_weight, the oracle verdict, and the in-model verification block.
+    activations (on_round calls) is engine-specific — the serial and
+    parallel engines skip sleeping vertices, the socket engine steps every
+    vertex and the async engine counts none — so it is never compared
+    against async or socket rows;
   - async-engine rows behind a synchronizer (sync alpha or beta; the
     "sync" field defaults to alpha when absent, for pre-sync-axis JSONL)
     must match the point's serial row on mst_weight, verdicts, and the
@@ -52,9 +56,10 @@ import sys
 
 GROUP_KEYS = ("algorithm", "family", "n", "bandwidth",
               "latency", "hetero_b", "adversarial_order")
-LOCKSTEP_COMPARE = ("rounds", "messages", "words", "mst_weight", "verified",
-                    "model_verified", "mutations_passed", "mutations_run",
-                    "verify_rounds", "verify_messages", "verify_words")
+LOCKSTEP_COMPARE = ("rounds", "messages", "words", "activations",
+                    "mst_weight", "verified", "model_verified",
+                    "mutations_passed", "mutations_run", "verify_rounds",
+                    "verify_messages", "verify_words")
 ASYNC_COMPARE = ("messages", "words", "mst_weight", "verified",
                  "model_verified", "mutations_passed", "mutations_run",
                  "verify_messages", "verify_words")

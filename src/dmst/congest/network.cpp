@@ -48,7 +48,8 @@ void Network::send_from(VertexId from, std::size_t port, Message&& msg)
             arrive_hist_.resize(idx + 1, 0);
         ++arrive_hist_[idx];
     }
-    ++inbox_count_[target];  // consumed (and reset) by deliver_staged
+    if (inbox_count_[target]++ == 0)  // reset by deliver_staged
+        staged_targets_.push_back(target);
     staged_.emplace(target, static_cast<std::uint32_t>(arrival_port),
                     std::move(msg));
     ++in_flight_;
@@ -57,6 +58,7 @@ void Network::send_from(VertexId from, std::size_t port, Message&& msg)
 bool Network::step()
 {
     DMST_ASSERT_MSG(!processes_.empty(), "init() must be called before stepping");
+    refresh_not_done();
     if (stalled_ || quiescent())
         return false;
 
@@ -68,14 +70,10 @@ bool Network::step()
             apply_crashes();
         if (trace_)
             trace_->set_now(logical_round_, round_, 0);
-        for (VertexId v = 0; v < graph_.vertex_count(); ++v)
-            reset_round_words(v);
-        for (VertexId v = 0; v < graph_.vertex_count(); ++v) {
-            if (has_crashes_ && crashed_[v])
-                continue;
-            Context ctx = context_for(v);
-            run_process_guarded(v, ctx, fault_delta_);
-        }
+        step_active(activity_, 0, static_cast<VertexId>(graph_.vertex_count()),
+                    fault_delta_);
+        merge_activity(activity_);
+        step_all_ = false;
         // The inbox was consumed this tick; the messages leave flight now
         // even though the arena is only rebuilt at the next deliver tick.
         DMST_ASSERT(live_ <= in_flight_);
@@ -108,7 +106,8 @@ void Network::deliver_staged()
     // The arena still holds messages already consumed (and struck from
     // in_flight_) at the last activation; rebuilding it from the staging
     // buffer drops them and delivers the new ones.
-    const std::size_t n = graph_.vertex_count();
+    drop_inboxes(activity_);
+    activity_.targets.swap(staged_targets_);
 
     // Grow-only, with geometric headroom: per-round message volume often
     // ramps exponentially (e.g. a spreading wave), and each growth
@@ -120,27 +119,16 @@ void Network::deliver_staged()
     // Stable counting scatter by target: staged_ is already in (sender id,
     // send order) because vertices step in id order, so each target's span
     // ends up in exactly the order the seed's per-vertex push_backs did.
-    // send_from counted per target as it staged; reset the counts here.
+    // send_from counted per target as it staged; the layout resets them.
     Incoming* base = slab_.data();
-    std::size_t cursor = 0;
-    for (VertexId v = 0; v < n; ++v) {
-        inbox_span_[v] = InboxSpan{base + cursor, inbox_count_[v]};
-        scatter_off_[v] = cursor;
-        cursor += inbox_count_[v];
-        inbox_count_[v] = 0;
-    }
+    layout_inboxes(activity_, base);
     staged_.for_each([&](Staged& s) {
         Incoming& slot = base[scatter_off_[s.target]++];
         slot.port = s.port;
         slot.msg = std::move(s.msg);
     });
     staged_.clear();
-
-    for (VertexId v = 0; v < n; ++v) {
-        const InboxSpan& span = inbox_span_[v];
-        sort_span_by_port(span.data, span.len, sort_scratch_);
-        maybe_permute_span(v, sort_scratch_);
-    }
+    sort_inboxes(activity_, sort_scratch_);
 }
 
 }  // namespace dmst

@@ -10,10 +10,12 @@ namespace dmst {
 // engine (sim/parallel_network.h) is defined to be bit-identical to this
 // one; when in doubt, this is the model's semantics.
 //
-// Datapath: sends append to one flat staging vector; the deliver phase
-// counting-sorts it by target into the shared inbox arena (stable, so the
-// (sender id, send order) staging order is preserved per target) and then
-// stable-sorts each per-vertex span by arrival port. All buffers are reused
+// Datapath: sends append to one flat staging vector and note each new
+// target; the deliver phase counting-sorts the staging vector by target
+// into the shared inbox arena (stable, so the (sender id, send order)
+// staging order is preserved per target) and then stable-sorts each
+// target's span by arrival port. Only active vertices are stepped and only
+// targets are laid out (NetworkBase::step_active). All buffers are reused
 // across rounds — no per-message allocation in steady state.
 class Network : public NetworkBase {
 public:
@@ -28,6 +30,8 @@ private:
     void deliver_staged();
 
     StagedBuffer staged_;  // this round's sends, in send order
+    std::vector<VertexId> staged_targets_;  // their distinct targets
+    Activity activity_;
     std::vector<Incoming> slab_;  // grow-only inbox arena
     std::size_t live_ = 0;        // slots delivered into this round
     SortScratch sort_scratch_;

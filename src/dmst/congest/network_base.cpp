@@ -1,6 +1,7 @@
 #include "dmst/congest/network_base.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "dmst/obs/trace.h"
@@ -63,11 +64,15 @@ InboxView Context::inbox() const
 void Context::send(std::size_t port, Message msg)
 {
     DMST_ASSERT_MSG(port < degree(), "send: port out of range");
+    DMST_ASSERT_MSG(!probe_,
+                    "a sleeping vertex sent a message: unsafe sleep hint");
     net_->send_from(vertex_, port, std::move(msg));
 }
 
 void Context::set_timer(std::uint64_t delay, std::uint64_t timer_id)
 {
+    DMST_ASSERT_MSG(!probe_,
+                    "a sleeping vertex armed a timer: unsafe sleep hint");
     net_->schedule_timer(vertex_, std::max<std::uint64_t>(delay, 1), timer_id);
 }
 
@@ -113,6 +118,12 @@ void MessageProcess::on_round(Context& ctx)
         Message msg = in.msg;
         on_message(ctx, in.port, std::move(msg));
     }
+    // Message-driven by definition: nothing to do before the next arrival
+    // or the earliest pending timer.
+    std::uint64_t next = Context::kNoWakeup;
+    for (const NetworkBase::PendingTimer& t : ctx.net_->timers_[ctx.vertex_])
+        next = std::min(next, t.due);
+    ctx.wake_at(next);
 }
 
 // ------------------------------------------------------------ NetworkBase
@@ -151,6 +162,8 @@ NetworkBase::NetworkBase(const WeightedGraph& g, NetConfig config)
     }
     const std::size_t n = graph_.vertex_count();
     timers_.resize(n);
+    wake_round_.assign(n, 0);
+    done_.assign(n, 0);
     inbox_span_.resize(n);
     inbox_count_.assign(n, 0);
     scatter_off_.assign(n, 0);
@@ -277,6 +290,143 @@ void NetworkBase::reset_round_words(VertexId v)
     std::fill(words_this_round_[v].begin(), words_this_round_[v].end(), 0);
 }
 
+// -------------------------------------------------- activity-driven stepping
+
+void NetworkBase::step_active(Activity& a, VertexId lo, VertexId hi,
+                              FaultDelta& delta)
+{
+    a.active.clear();
+    if (step_all_) {
+        for (VertexId v = lo; v < hi; ++v)
+            a.active.push_back(v);
+    } else {
+        a.due.clear();
+        while (!a.wakeups.empty() &&
+               a.wakeups.front().round <= logical_round_) {
+            std::pop_heap(a.wakeups.begin(), a.wakeups.end(), Wakeup::later);
+            const Wakeup w = a.wakeups.back();
+            a.wakeups.pop_back();
+            if (wake_round_[w.v] == w.round)
+                a.due.push_back(w.v);
+        }
+        if (a.awake.size() == hi - lo) {
+            a.active.swap(a.awake);  // nobody sleeps (an unhinted driver)
+        } else {
+            // awake and targets are ascending and duplicate-free; the due
+            // wakeups are few, so sorting them is cheap.
+            std::sort(a.due.begin(), a.due.end());
+            a.merged.clear();
+            std::set_union(a.awake.begin(), a.awake.end(), a.targets.begin(),
+                           a.targets.end(), std::back_inserter(a.merged));
+            std::set_union(a.merged.begin(), a.merged.end(), a.due.begin(),
+                           a.due.end(), std::back_inserter(a.active));
+        }
+    }
+    a.awake.clear();
+    for (VertexId v : a.active) {
+        if (has_crashes_ && crashed_[v])
+            continue;
+        activate(v, a, delta);
+    }
+#ifndef NDEBUG
+    probe_sleepers(a, lo, hi);
+#endif
+}
+
+void NetworkBase::activate(VertexId v, Activity& a, FaultDelta& delta)
+{
+    reset_round_words(v);
+    Context ctx = context_for(v);
+    run_process_guarded(v, ctx, delta);
+    ++a.activations;
+    const std::uint8_t done = processes_[v]->done() ? 1 : 0;
+    if (done != done_[v]) {
+        done_[v] = done;
+        a.not_done_delta += done ? -1 : 1;
+    }
+    const std::uint64_t wake = ctx.wake_;
+    if (wake <= logical_round_ + 1) {
+        // Nothing declared (0), or a wakeup next round: stay awake.
+        wake_round_[v] = 0;
+        a.awake.push_back(v);
+    } else if (wake != wake_round_[v]) {
+        // An unchanged wakeup keeps its heap entry.
+        wake_round_[v] = wake;
+        if (wake != Context::kNoWakeup) {
+            a.wakeups.push_back(Wakeup{wake, v});
+            std::push_heap(a.wakeups.begin(), a.wakeups.end(), Wakeup::later);
+        }
+    }
+}
+
+void NetworkBase::probe_sleepers(const Activity& a, VertexId lo, VertexId hi)
+{
+    auto next = a.active.begin();
+    for (VertexId v = lo; v < hi; ++v) {
+        if (next != a.active.end() && *next == v) {
+            ++next;
+            continue;
+        }
+        if (has_crashes_ && crashed_[v])
+            continue;
+        Context ctx = context_for(v);
+        ctx.probe_ = true;
+        const bool was_done = processes_[v]->done();
+        processes_[v]->on_round(ctx);
+        DMST_ASSERT_MSG(processes_[v]->done() == was_done,
+                        "a sleeping vertex changed done(): unsafe sleep hint");
+    }
+}
+
+void NetworkBase::merge_activity(Activity& a)
+{
+    stats_.activations += a.activations;
+    not_done_ = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(not_done_) + a.not_done_delta);
+    a.activations = 0;
+    a.not_done_delta = 0;
+}
+
+void NetworkBase::refresh_not_done()
+{
+    if (not_done_valid_)
+        return;
+    not_done_ = 0;
+    for (VertexId v = 0; v < processes_.size(); ++v) {
+        done_[v] = processes_[v]->done() ? 1 : 0;
+        not_done_ += !done_[v] && !crashed(v);
+    }
+    not_done_valid_ = true;
+}
+
+void NetworkBase::drop_inboxes(Activity& a)
+{
+    for (VertexId v : a.targets)
+        inbox_span_[v] = InboxSpan{};
+    a.targets.clear();
+}
+
+void NetworkBase::layout_inboxes(Activity& a, Incoming* base)
+{
+    std::sort(a.targets.begin(), a.targets.end());
+    std::size_t cursor = 0;
+    for (VertexId v : a.targets) {
+        inbox_span_[v] = InboxSpan{base + cursor, inbox_count_[v]};
+        scatter_off_[v] = cursor;
+        cursor += inbox_count_[v];
+        inbox_count_[v] = 0;
+    }
+}
+
+void NetworkBase::sort_inboxes(const Activity& a, SortScratch& scratch)
+{
+    for (VertexId v : a.targets) {
+        const InboxSpan& span = inbox_span_[v];
+        sort_span_by_port(span.data, span.len, scratch);
+        maybe_permute_span(v, scratch);
+    }
+}
+
 void NetworkBase::sort_span_by_port(Incoming* first, std::size_t n,
                                     SortScratch& scratch)
 {
@@ -331,6 +481,8 @@ bool NetworkBase::quiescent() const
 {
     if (in_flight_ > 0)
         return false;
+    if (not_done_valid_)
+        return not_done_ == 0;
     for (VertexId v = 0; v < processes_.size(); ++v) {
         if (crashed(v))
             continue;  // a crashed vertex can never report done
@@ -360,12 +512,8 @@ std::uint64_t NetworkBase::plan_fault_delivery(VertexId from, std::size_t port,
 
 std::uint64_t NetworkBase::fold_fault_delta(FaultDelta& delta)
 {
-    for (VertexId v : delta.wedged) {
-        if (!crashed_[v]) {
-            crashed_[v] = 1;
-            ++stats_.crashed_vertices;
-        }
-    }
+    for (VertexId v : delta.wedged)
+        crash_vertex(v);
     stats_.drops += delta.drops;
     stats_.retransmissions += delta.retransmissions;
     stats_.acks += delta.acks;
@@ -399,12 +547,18 @@ void NetworkBase::apply_crashes()
 {
     while (next_crash_ < pending_crashes_.size() &&
            pending_crashes_[next_crash_].round <= logical_round_) {
-        const VertexId v = pending_crashes_[next_crash_++].vertex;
-        if (!crashed_[v]) {
-            crashed_[v] = 1;
-            ++stats_.crashed_vertices;
-        }
+        crash_vertex(pending_crashes_[next_crash_++].vertex);
     }
+}
+
+void NetworkBase::crash_vertex(VertexId v)
+{
+    if (crashed_[v])
+        return;
+    crashed_[v] = 1;
+    ++stats_.crashed_vertices;
+    if (not_done_valid_ && !done_[v])
+        --not_done_;
 }
 
 void NetworkBase::note_activation()
@@ -459,6 +613,8 @@ void NetworkBase::throw_round_limit() const
 
 RunStats NetworkBase::run()
 {
+    step_all_ = true;
+    not_done_valid_ = false;
     while (step()) {
         if (round_ > config_.max_rounds)
             throw_round_limit();

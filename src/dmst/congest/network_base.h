@@ -138,6 +138,12 @@ struct RunStats {
     std::uint64_t rounds = 0;
     std::uint64_t messages = 0;  // number of Message sends
     std::uint64_t words = 0;     // total 64-bit words sent (tags included)
+    // Process::on_round calls made by a lock-step engine (serial, parallel,
+    // socket; 0 on the event-driven engine). Exact and identical across
+    // serial and every parallel shard count, but engine-specific: the
+    // serial and parallel engines skip sleeping vertices (see Context::
+    // sleep), the socket engine steps every local vertex every round.
+    std::uint64_t activations = 0;
     std::vector<std::uint64_t> messages_per_round;  // only if record_per_round
     // Physical arrivals per tick (index t-1 holds the messages arriving at
     // tick t, i.e. sent at tick t - 1 - link latency); only if
@@ -285,6 +291,25 @@ public:
     // reports the id it was armed with.
     void set_timer(std::uint64_t delay, std::uint64_t timer_id);
 
+    // ---- activation hints (the activation contract, docs/ARCHITECTURE.md)
+    // A vertex that declares nothing during on_round() is stepped again
+    // next round. sleep() declares it idle until a message arrives;
+    // wake_at(r) declares it idle until a message arrives or logical round
+    // r, whichever comes first. Declarations of one activation combine to
+    // the earliest wakeup, so wake_at(round() + 1) keeps the vertex awake
+    // whatever else was declared, and wake_at(kNoWakeup) is sleep(). The
+    // serial and parallel engines honour hints; the event-driven and socket
+    // engines step every vertex anyway, so a hint must be safe: an
+    // activation of a sleeping vertex with an empty inbox before its
+    // wakeup must send nothing and leave done() unchanged.
+    void sleep() { wake_at(kNoWakeup); }
+    void wake_at(std::uint64_t round)
+    {
+        round = std::max<std::uint64_t>(round, 1);
+        wake_ = wake_ == 0 ? round : std::min(wake_, round);
+    }
+    static constexpr std::uint64_t kNoWakeup = ~std::uint64_t{0};
+
     // ---- tracing hooks (src/dmst/obs/trace.h) --------------------------
     // No-ops (one pointer test) unless NetConfig::trace.enabled. Drivers
     // normally use the TraceScope RAII helper instead of begin/end pairs.
@@ -303,11 +328,24 @@ private:
 
     NetworkBase* net_;
     VertexId vertex_;
+    // Earliest declared wakeup; 0 = nothing declared.
+    std::uint64_t wake_ = 0;
+    // Set on the checked-build probe of a sleeping vertex: any send or
+    // timer from it proves its sleep hint unsafe.
+    bool probe_ = false;
 };
 
-// A per-vertex state machine. on_round() is called once per round for every
-// vertex (inbox may be empty). The run ends when every process reports
+// A per-vertex state machine. The run ends when every process reports
 // done() and no messages are in flight.
+//
+// Activation contract: the serial and parallel engines call on_round() in a
+// round only for the vertex's *active* rounds — it has a non-empty inbox, a
+// wakeup it declared for this round is due (Context::wake_at), or it
+// declared no sleep in its last activation. Every vertex is stepped at the
+// first activation of each NetworkBase::run(), so a process that never
+// declares sleep is stepped every round, exactly as before hints existed.
+// The event-driven and socket engines ignore hints and step every vertex
+// each round, so being stepped while asleep must be a no-op.
 class Process {
 public:
     virtual ~Process() = default;
@@ -355,8 +393,9 @@ public:
 
     // Lock-step adapter: first activation runs on_start, then every
     // activation fires due timers (in arming order) and dispatches the
-    // inbox (in inbox order) through the handlers. Final — a
-    // message-driven driver has no per-round logic by definition.
+    // inbox (in inbox order) through the handlers, and then sleeps until
+    // the next pending timer. Final — a message-driven driver has no
+    // per-round logic by definition.
     void on_round(Context& ctx) final;
 
 private:
@@ -369,7 +408,8 @@ private:
 // ParallelNetwork (sim/). The contract every engine must keep, because the
 // protocols and tests rely on it for determinism:
 //
-//   - vertices are stepped in id order (or observably so),
+//   - the active vertices (see Process) are stepped in id order (or
+//     observably so),
 //   - a vertex's inbox holds last logical round's messages sorted by
 //     arrival port, ties broken by (sender id, send order) — then, only
 //     under an adversarial-order conditioner, permuted by the seeded
@@ -721,6 +761,8 @@ protected:
     // Applies due crash points for logical_round_ (call right after
     // bumping it on an activation tick). Coordinator-only.
     void apply_crashes();
+    // Marks v crashed (idempotent), keeping the not-done count.
+    void crash_vertex(VertexId v);
 
     // Stall detection, called at the end of every activation tick once
     // in-flight accounting is settled: a window of consecutive silent
@@ -728,6 +770,73 @@ protected:
     // stalled_ — or throws if FaultConfig::graceful is off. No-op unless
     // crashes are configured. Coordinator-only.
     void note_activation();
+
+    // ---- activity-driven stepping (serial and parallel engines) ----------
+    //
+    // Each activation steps only the active vertices (see Process): the
+    // inbox targets, the due declared wakeups, and the vertices that did not
+    // sleep in their last activation. All per-round engine work — ledger
+    // resets, stepping, inbox layout and sort, the quiescence test — is
+    // O(active), not O(n).
+
+    // A declared wakeup; Activity::wakeups is a min-heap of these. An entry
+    // is stale (skipped) unless wake_round_[v] still equals its round.
+    struct Wakeup {
+        std::uint64_t round;
+        VertexId v;
+
+        // Heap order: the earliest round on top.
+        static bool later(const Wakeup& a, const Wakeup& b)
+        {
+            return a.round > b.round;
+        }
+    };
+
+    // The activity bookkeeping of one stepping shard (the serial engine
+    // keeps one, the parallel engine one per shard). Only the worker owning
+    // the shard touches it during a phase; merge_activity() folds its
+    // counters on the coordinator.
+    struct Activity {
+        std::vector<VertexId> active;   // this activation's vertices, ascending
+        std::vector<VertexId> awake;    // stepped and not asleep, ascending
+        std::vector<VertexId> targets;  // non-empty inboxes (deliver phase)
+        std::vector<VertexId> due;      // scratch: due wakeups
+        std::vector<VertexId> merged;   // scratch: awake ∪ targets
+        std::vector<Wakeup> wakeups;    // min-heap on round
+        std::uint64_t activations = 0;
+        std::int64_t not_done_delta = 0;
+    };
+
+    // Steps the active vertices of [lo, hi) in id order for this
+    // activation tick (all of them on the first activation of a run),
+    // skipping crashed ones, and records each one's sleep hint. Checked
+    // (non-NDEBUG) builds then also step every sleeping vertex with an empty
+    // inbox and assert it sends nothing and keeps done() — the guard that a
+    // hint was safe; those steps do not count as activations.
+    void step_active(Activity& a, VertexId lo, VertexId hi, FaultDelta& delta);
+
+    // Folds a shard's activation count and not-done delta. Coordinator-only.
+    void merge_activity(Activity& a);
+
+    // Recounts the not-done vertices if a run() began since the last count.
+    // Call at the top of step(), before quiescent().
+    void refresh_not_done();
+
+    // Deliver phase: empties the inbox spans the last activation consumed
+    // and forgets their targets.
+    void drop_inboxes(Activity& a);
+    // Deliver phase: `a.targets` lists each vertex with a non-zero
+    // inbox_count_ once. Sorts it, lays the spans out contiguously from
+    // `base`, primes scatter_off_ and zeroes the counts.
+    void layout_inboxes(Activity& a, Incoming* base);
+    // Deliver phase, after the scatter: port-sorts (and, under the
+    // adversarial-order conditioner, permutes) every target's span.
+    void sort_inboxes(const Activity& a, SortScratch& scratch);
+
+    // True until the first activation and again from each run(): the next
+    // activation steps every vertex, because a multi-epoch driver may
+    // change process state between runs.
+    bool step_all_ = true;
 
     // Builds the satellite-rich runaway diagnostic and throws.
     [[noreturn]] void throw_round_limit() const;
@@ -794,6 +903,19 @@ protected:
     std::uint64_t stall_window_ = 0;
     std::uint64_t idle_activations_ = 0;
     bool stalled_ = false;
+    // ---- activity state (step_active) ---------------------------------
+    // Pending declared wakeup per vertex: 0 = awake (stepped next
+    // activation), Context::kNoWakeup = asleep until a message arrives.
+    // Row v is touched only by the shard stepping v.
+    std::vector<std::uint64_t> wake_round_;
+    // done() as of each vertex's last activation, and the number of
+    // non-crashed vertices not done — valid once refresh_not_done() ran in
+    // this run(); quiescent() falls back to a scan otherwise (the engines
+    // that step every vertex never maintain it).
+    std::vector<std::uint8_t> done_;
+    std::uint64_t not_done_ = 0;
+    bool not_done_valid_ = false;
+
     // Absolute tick targets of the round scheduler (see schedule_round).
     std::uint64_t next_activation_ = 1;
     std::uint64_t next_deliver_ = 0;
@@ -815,6 +937,11 @@ protected:
 private:
     friend class Context;
     friend class MessageProcess;
+
+    // One activation of v inside step_active().
+    void activate(VertexId v, Activity& a, FaultDelta& delta);
+    // The checked-build guard of step_active().
+    void probe_sleepers(const Activity& a, VertexId lo, VertexId hi);
 };
 
 }  // namespace dmst

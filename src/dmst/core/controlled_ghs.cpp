@@ -3,6 +3,7 @@
 #include "dmst/sim/engine.h"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "dmst/congest/codec.h"
 #include "dmst/obs/trace.h"
@@ -157,6 +158,56 @@ void GhsVertex::on_round(Context& ctx)
             process_message(ctx, *pos, in);
     }
     stage_actions(ctx, *pos);
+}
+
+std::uint64_t GhsVertex::next_wakeup(std::uint64_t round) const
+{
+    if (finished_)
+        return Context::kNoWakeup;
+    const std::uint64_t r = round + 1;
+    if (r < schedule_.start_round())
+        return schedule_.start_round();
+    const auto pos = schedule_.locate(r);
+    if (!pos)
+        return r;  // end_round: the activation that sets finished_
+    const std::uint64_t o = pos->offset;
+    if (o == 0)
+        return r;  // every stage start
+    const std::uint64_t next_stage = r - o + pos->stage_len;
+    const std::uint64_t w = GhsSchedule::window(pos->phase);
+    const bool root_candidate = parent_port_ == kNoPort && am_candidate_;
+    // First point at or after offset o among `points` (ascending offsets
+    // within a window of `len` rounds starting at `base`), else the next
+    // window.
+    auto first_point = [](std::uint64_t base, std::uint64_t off,
+                           std::uint64_t len,
+                           std::initializer_list<std::uint64_t> points) {
+        for (std::uint64_t p : points)
+            if (p >= off)
+                return base + p;
+        return base + len;
+    };
+    switch (pos->stage) {
+    case GhsStage::Mwoe:  // root candidacy decision
+        return first_point(r - o, o, pos->stage_len, {pos->stage_len - 1});
+    case GhsStage::Cand:  // CAND_NBR exchange
+        return first_point(r - o, o, pos->stage_len, {pos->stage_len - 2});
+    case GhsStage::Cv: {  // color windows, run by candidate roots only
+        if (!root_candidate)
+            return next_stage;
+        const std::uint64_t lw = schedule_.cv_window_len(pos->phase);
+        return first_point(r - o % lw, o % lw, lw, {0, lw - 1});
+    }
+    case GhsStage::Mm: {  // matching steps; the report window is candidates'
+        const std::uint64_t sl = schedule_.mm_step_len(pos->phase);
+        const std::uint64_t so = o % sl;
+        return am_candidate_
+                   ? first_point(r - so, so, sl, {0, w + 3, 2 * w + 5})
+                   : first_point(r - so, so, sl, {0});
+    }
+    default:
+        return next_stage;
+    }
 }
 
 void GhsVertex::act_as_gate(Context& ctx, const GhsSchedule::Pos& pos)
@@ -652,7 +703,11 @@ public:
     {
     }
 
-    void on_round(Context& ctx) override { ghs_.on_round(ctx); }
+    void on_round(Context& ctx) override
+    {
+        ghs_.on_round(ctx);
+        ctx.wake_at(ghs_.next_wakeup(ctx.round()));
+    }
     bool done() const override { return ghs_.finished(); }
 
     GhsVertex ghs_;

@@ -105,6 +105,13 @@ public:
 
     void on_round(Context& ctx);
 
+    // The first round after `round` at which an activation with an empty
+    // inbox acts — a stage start, an in-stage offset that stage_actions
+    // tests for this vertex's role, or end_round — or Context::kNoWakeup
+    // once finished. Every other action is a reaction to a message, so the
+    // owning process may sleep until then (Context::wake_at).
+    std::uint64_t next_wakeup(std::uint64_t round) const;
+
     bool handles(std::uint32_t tag) const
     {
         return tag >= tag_base_ && tag < tag_base_ + kTagCount;

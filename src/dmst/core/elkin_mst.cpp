@@ -36,6 +36,31 @@ ElkinProcess::ElkinProcess(VertexId id, std::uint64_t n, const ElkinOptions& opt
 
 void ElkinProcess::on_round(Context& ctx)
 {
+    advance(ctx);
+    if (busy(ctx))
+        return;  // stepped again next round
+    ctx.wake_at(std::min(bfs_.next_wakeup(),
+                         ghs_ ? ghs_->next_wakeup(ctx.round())
+                              : Context::kNoWakeup));
+}
+
+bool ElkinProcess::busy(const Context& ctx) const
+{
+    if (finished_)
+        return false;
+    if (!downcast_.idle() || (upcast_ && !upcast_->idle()))
+        return true;
+    for (const auto& q : flood_queues_)
+        if (!q.empty())
+            return true;
+    // Every other stage transition of advance() fires in the activation
+    // that enables it, except one: the root opening the next Boruvka phase
+    // from maybe_ack() computes its local MWOE in the following round.
+    return phase_ >= 0 && !mwoe_computed_ && chats_received_ == ctx.degree();
+}
+
+void ElkinProcess::advance(Context& ctx)
+{
     // MST markings may race the FINISH wave by one round; accept them first
     // and even after finishing.
     for (const Incoming& in : ctx.inbox()) {

@@ -136,6 +136,13 @@ private:
 
     bool is_root_vertex() const { return id_ == opts_.root; }
 
+    // One activation: the pumps, the control traffic, stage transitions.
+    void advance(Context& ctx);
+    // True when an activation with an empty inbox would act before the
+    // components' next timed wakeup: a component holds output, or a stage
+    // transition is left for the next round.
+    bool busy(const Context& ctx) const;
+
     void start_ghs_from_wave(Context& ctx, std::uint64_t k,
                              std::uint64_t start_round);
     void begin_registration(Context& ctx);
@@ -162,8 +169,6 @@ private:
     std::unique_ptr<SortedMergeUpcast> upcast_;  // registration, then per phase
 
     // --- stage flags --------------------------------------------------------
-    bool labeler_started_ = false;
-    bool downcast_attached_ = false;
     bool ghs_wave_sent_ = false;
     std::uint64_t bfs_done_round_ = 0;
     std::uint32_t ecc_ = 0;

@@ -82,6 +82,30 @@ void PipelineMstProcess::pump_broadcast(Context& ctx)
 
 void PipelineMstProcess::on_round(Context& ctx)
 {
+    advance(ctx);
+    if (busy())
+        return;  // stepped again next round
+    ctx.wake_at(std::min(bfs_.next_wakeup(),
+                         ghs_ ? ghs_->next_wakeup(ctx.round())
+                              : Context::kNoWakeup));
+}
+
+bool PipelineMstProcess::busy() const
+{
+    if (finished_)
+        return false;
+    if (upcast_ && !upcast_->idle())
+        return true;
+    // Every stage transition of advance() fires in the activation that
+    // enables it, so only queued output keeps a vertex awake.
+    for (const auto& q : bcast_queues_)
+        if (!q.empty())
+            return true;
+    return false;
+}
+
+void PipelineMstProcess::advance(Context& ctx)
+{
     if (finished_)
         return;
 

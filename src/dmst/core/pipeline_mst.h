@@ -81,6 +81,11 @@ private:
     };
 
     bool is_root_vertex() const { return id_ == opts_.root; }
+    // One activation: the pumps, the control traffic, the transitions.
+    void advance(Context& ctx);
+    // True when an activation with an empty inbox would act before the
+    // components' next timed wakeup (see ElkinProcess::busy).
+    bool busy() const;
     void begin_pipeline(Context& ctx);
     void pump_broadcast(Context& ctx);
     void mark_if_incident(std::uint64_t packed_edge);

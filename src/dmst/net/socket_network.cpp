@@ -191,10 +191,12 @@ bool SocketNetwork::step()
         trace_->set_now(logical_round_, round_, 0);
     for (VertexId v = lo_; v < hi_; ++v)
         reset_round_words(v);
+    // Sleep hints are ignored: every local vertex steps every round.
     for (VertexId v = lo_; v < hi_; ++v) {
         Context ctx = context_for(v);
         processes_[v]->on_round(ctx);
     }
+    stats_.activations += hi_ - lo_;
     DMST_ASSERT(live_ <= in_flight_);
     in_flight_ -= live_;
     live_ = 0;

@@ -34,6 +34,13 @@ public:
 
     void on_round(Context& ctx);
 
+    // The root's join round while it waits for it, else Context::kNoWakeup:
+    // everything else the builder does reacts to a message.
+    std::uint64_t next_wakeup() const
+    {
+        return is_root_ && !joined_ ? start_round_ : Context::kNoWakeup;
+    }
+
     bool handles(std::uint32_t tag) const
     {
         return tag >= tag_base_ && tag < tag_base_ + 4;

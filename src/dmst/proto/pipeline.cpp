@@ -162,6 +162,20 @@ void SortedMergeUpcast::on_round(Context& ctx)
     }
 }
 
+bool SortedMergeUpcast::idle() const
+{
+    if (!attached_)
+        return true;
+    // safe_to_emit is antitone in the key, so an unsafe front blocks the
+    // whole buffer (deferred pruning of superseded records is harmless:
+    // admits() is monotone).
+    if (!buffer_.empty())
+        return !safe_to_emit(buffer_.begin()->first);
+    return parent_port_ == kNoPort || done_sent_ || !local_closed_ ||
+           !std::all_of(children_.begin(), children_.end(),
+                        [](const ChildStream& c) { return c.done; });
+}
+
 bool SortedMergeUpcast::finished() const
 {
     if (parent_port_ != kNoPort)

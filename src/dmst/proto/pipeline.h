@@ -120,6 +120,11 @@ public:
     // Non-root: DONE sent. Root: every stream exhausted and drained.
     bool finished() const;
 
+    // Nothing to emit until new input arrives: no buffered record is safe
+    // to emit (or prune) and no DONE is due. A non-idle upcast must be
+    // stepped next round.
+    bool idle() const;
+
     // Root only: records that reached the root, in sorted order.
     const std::vector<PipeRecord>& delivered() const { return delivered_; }
 

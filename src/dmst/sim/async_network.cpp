@@ -338,6 +338,7 @@ void AsyncNetwork::execute_pulse(VertexId v, ShardState& st)
     if (trace_)
         trace_->set_now_for(v, level, level, now_);
     st.pulse_sends = 0;
+    // Sleep hints are ignored: the synchronizer pulses every vertex.
     Context ctx = context_for(v);
     processes_[v]->on_round(ctx);
     const bool now_done = processes_[v]->done();

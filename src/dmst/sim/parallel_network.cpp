@@ -104,19 +104,11 @@ void ParallelNetwork::send_from(VertexId from, std::size_t port, Message&& msg)
 
 void ParallelNetwork::step_shard(int s)
 {
+    ShardState& st = shard_states_[static_cast<std::size_t>(s)];
     try {
-        for (VertexId v = bounds_[s]; v < bounds_[s + 1]; ++v)
-            reset_round_words(v);
-        for (VertexId v = bounds_[s]; v < bounds_[s + 1]; ++v) {
-            if (has_crashes_ && crashed_[v])
-                continue;
-            Context ctx = context_for(v);
-            run_process_guarded(v, ctx,
-                                shard_states_[static_cast<std::size_t>(s)].faults);
-        }
+        step_active(st.activity, bounds_[s], bounds_[s + 1], st.faults);
     } catch (...) {
-        shard_states_[static_cast<std::size_t>(s)].error =
-            std::current_exception();
+        st.error = std::current_exception();
     }
 }
 
@@ -135,22 +127,18 @@ void ParallelNetwork::deliver_shard(int s)
             st.slab.resize(std::max(total, 2 * st.slab.size()));
         st.live = total;
 
-        // Count staged messages per target vertex of this shard.
-        for (VertexId v = bounds_[s]; v < bounds_[s + 1]; ++v)
-            inbox_count_[v] = 0;
+        // Count staged messages per target vertex of this shard, and lay
+        // the targets out contiguously within its slab.
+        drop_inboxes(st.activity);
         for (int t = 0; t < shards_; ++t)
             shard_states_[static_cast<std::size_t>(t)]
                 .out[static_cast<std::size_t>(s)]
-                .for_each([&](const Staged& m) { ++inbox_count_[m.target]; });
-
-        // Lay the shard's vertices out contiguously within its slab.
+                .for_each([&](const Staged& m) {
+                    if (inbox_count_[m.target]++ == 0)
+                        st.activity.targets.push_back(m.target);
+                });
         Incoming* base = st.slab.data();
-        std::size_t cursor = 0;
-        for (VertexId v = bounds_[s]; v < bounds_[s + 1]; ++v) {
-            inbox_span_[v] = InboxSpan{base + cursor, inbox_count_[v]};
-            scatter_off_[v] = cursor;
-            cursor += inbox_count_[v];
-        }
+        layout_inboxes(st.activity, base);
 
         // Stable scatter: source shards in ascending order reproduce the
         // serial staging order (sender id, send order) per target.
@@ -165,11 +153,7 @@ void ParallelNetwork::deliver_shard(int s)
             box.clear();
         }
 
-        for (VertexId v = bounds_[s]; v < bounds_[s + 1]; ++v) {
-            const InboxSpan& span = inbox_span_[v];
-            sort_span_by_port(span.data, span.len, st.sort_scratch);
-            maybe_permute_span(v, st.sort_scratch);
-        }
+        sort_inboxes(st.activity, st.sort_scratch);
     } catch (...) {
         st.error = std::current_exception();
     }
@@ -191,6 +175,7 @@ void ParallelNetwork::fold_edge_histograms()
 bool ParallelNetwork::step()
 {
     DMST_ASSERT_MSG(!processes_.empty(), "init() must be called before stepping");
+    refresh_not_done();
     if (stalled_ || quiescent())
         return false;
 
@@ -204,6 +189,9 @@ bool ParallelNetwork::step()
             trace_->set_now(logical_round_, round_, 0);
         run_phase([this](int s) { step_shard(s); });
         rethrow_shard_error();
+        for (auto& st : shard_states_)
+            merge_activity(st.activity);
+        step_all_ = false;
 
         // The arena contents delivered at the last deliver tick are
         // exactly the messages consumed this tick; the next deliver phase

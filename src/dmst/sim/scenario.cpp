@@ -614,6 +614,10 @@ std::string cell_json(const ScenarioCell& cell)
         << ",\"words\":" << cell.stats.words
         << ",\"wall_ms\":" << cell.wall_ms
         << ",\"mst_weight\":" << cell.mst_weight;
+    // on_round calls: a lock-step engine counter (the event-driven engine
+    // has none), compared only among serial and parallel rows.
+    if (cell.engine != Engine::Async)
+        oss << ",\"activations\":" << cell.stats.activations;
     if (cell.engine == Engine::Async)
         oss << ",\"max_delay\":" << cell.max_delay
             << ",\"event_seed\":" << cell.event_seed
